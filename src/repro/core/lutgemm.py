@@ -22,29 +22,22 @@ things make the engine fast enough for retraining sweeps:
    bit-identical results).  When the whole GEMM fits in a single chunk the
    backward reuses the forward's index tensor outright.
 
-3. **Optional multiprocessing.**  Set ``REPRO_LUTGEMM_WORKERS=N`` (N >= 2)
-   to split the column dimension of large GEMMs across N worker processes.
-   Column blocks align with the chunk grid and per-chunk partial sums are
-   accumulated in global chunk order, so results stay bit-identical to the
-   serial path.  Any pool failure permanently falls back to serial.
-
-4. **One shared execution core, two interchangeable backends.**  The
+3. **One shared execution core, two interchangeable backends.**  The
    actual gather-accumulate loops live in :mod:`repro.core.execcore`,
    which every consumer -- this tape engine, the frozen serving engines,
    and the compiled plan ops built on them -- lowers onto.  Large GEMMs
    route through the JIT-compiled fused C kernels in
-   :mod:`repro.core.lutkernel` (forward *and* difference-LUT backward,
-   optional ``REPRO_LUTKERNEL_THREADS`` threading); everything else, and
-   every machine without a C compiler or with ``REPRO_NO_CCKERNEL=1``,
-   takes the chunked numpy loops.  Both backends are bit-identical (the
-   C backward is self-checked against numpy before first use), so the
-   split is purely a speed decision.
+   :mod:`repro.core.lutkernel` (forward *and* difference-LUT backward);
+   everything else, and every machine without a C compiler or with
+   ``REPRO_NO_CCKERNEL=1``, takes the chunked numpy loops.
+   ``REPRO_LUTKERNEL_THREADS`` (row/chunk threading inside the C kernels)
+   is the one way to parallelise a GEMM.  Both backends are bit-identical
+   (the C backward is self-checked against numpy before first use), so
+   the split is purely a speed decision.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +55,6 @@ _HEALTH = get_monitor()
 #: Columns processed per LUT-GEMM chunk; bounds peak memory at
 #: roughly ``M * K * chunk`` elements per scratch buffer.
 DEFAULT_CHUNK = 1024
-
-#: Environment variable selecting the number of worker processes.
-WORKERS_ENV = "REPRO_LUTGEMM_WORKERS"
 
 #: Re-exported from :mod:`repro.core.execcore` (the threshold lives with
 #: the backend-selection logic now).
@@ -168,7 +158,6 @@ class LutGemm:
         self.forward_calls = 0
         self.backward_calls = 0
         self.idx_reuses = 0
-        self.parallel_calls = 0
         self.ckernel_forward_calls = 0
         self.ckernel_backward_calls = 0
 
@@ -327,10 +316,6 @@ class LutGemm:
             return np.rint(
                 wq.astype(np.float64) @ xq.astype(np.float64)
             ).astype(acc_dtype)
-        out = self._parallel_product_sums(wq, xq)
-        if out is not None:
-            _TRACE.count("lutgemm.forward.parallel")
-            return out.astype(acc_dtype, copy=False)
         return execcore.product_sums(
             self, wq, xq, acc_dtype,
             record_backward and not self.forward_only,
@@ -362,8 +347,6 @@ class LutGemm:
                 "this LutGemm engine is forward-only (no gradient LUTs); "
                 "build it with a GradientPair to run backward passes"
             )
-        m, k = wq.shape
-        _, c = xq.shape
         self.backward_calls += 1
         gout = np.ascontiguousarray(gout, dtype=np.float32)
         zw_vec = np.atleast_1d(np.asarray(zw, dtype=np.float64))
@@ -377,11 +360,7 @@ class LutGemm:
             gx -= (zw_vec[:, None] * gf).sum(axis=0)[None, :] if zw_vec.size > 1 \
                 else zw_vec[0] * gf.sum(axis=0)[None, :]
             return gw, gx
-        res = self._parallel_backward(wq, xq, gout)
-        if res is not None:
-            gw, gx = res
-        else:
-            gw, gx = execcore.backward_grads(self, wq, xq, gout)
+        gw, gx = execcore.backward_grads(self, wq, xq, gout)
         # Zero-point cross terms of Eq. 8, applied in closed form.
         gsum_c = gout.sum(axis=1, dtype=np.float64)  # (M,)
         gw -= zx * gsum_c[:, None]
@@ -390,164 +369,6 @@ class LutGemm:
         else:
             gx -= zw_vec[0] * gout.sum(axis=0, dtype=np.float64)[None, :]
         return gw, gx
-
-    # ------------------------------------------------------------------
-    # Optional multiprocessing over the column dimension.
-    def _column_blocks(self, c: int) -> list[tuple[int, int]] | None:
-        """Chunk-aligned contiguous column blocks, or None if not worth it."""
-        # Any eligible split needs workers >= 2, hence c >= 2 * chunk; check
-        # that first so small GEMMs skip the per-call environment read.
-        if c < 2 * self.chunk:
-            return None
-        workers = _workers_requested()
-        if workers < 2 or c < workers * self.chunk:
-            return None
-        n_chunks = -(-c // self.chunk)
-        per_block = -(-n_chunks // workers) * self.chunk
-        return [(b0, min(b0 + per_block, c)) for b0 in range(0, c, per_block)]
-
-    def _parallel_product_sums(
-        self, wq: np.ndarray, xq: np.ndarray
-    ) -> np.ndarray | None:
-        blocks = self._column_blocks(xq.shape[1])
-        if blocks is None:
-            return None
-        tasks = [
-            (self.lut_flat, self.levels, self.chunk, wq, xq[:, b0:b1])
-            for b0, b1 in blocks
-        ]
-        results = _run_parallel(_forward_block, tasks)
-        if results is None:
-            return None
-        self.parallel_calls += 1
-        self._fwd_operands = None
-        out = np.empty((wq.shape[0], xq.shape[1]), dtype=np.int64)
-        for (b0, b1), block in zip(blocks, results):
-            out[:, b0:b1] = block
-        return out
-
-    def _parallel_backward(
-        self,
-        wq: np.ndarray,
-        xq: np.ndarray,
-        gout: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        blocks = self._column_blocks(xq.shape[1])
-        if blocks is None:
-            return None
-        tasks = [
-            (
-                self.grad_w_flat, self.grad_x_flat, self.levels, self.chunk,
-                wq, xq[:, b0:b1], gout[:, b0:b1],
-            )
-            for b0, b1 in blocks
-        ]
-        results = _run_parallel(_backward_block, tasks)
-        if results is None:
-            return None
-        self.parallel_calls += 1
-        m, k = wq.shape
-        gw = np.zeros((m, k), dtype=np.float64)
-        gx = np.empty((k, xq.shape[1]), dtype=np.float64)
-        # Accumulate per-chunk gw partial sums in global chunk order so the
-        # result is bit-identical to the serial path (float addition is
-        # order-sensitive); gx blocks are disjoint.
-        for (b0, b1), (gw_chunks, gx_block) in zip(blocks, results):
-            for chunk_sum in gw_chunks:
-                gw += chunk_sum
-            gx[:, b0:b1] = gx_block
-        return gw, gx
-
-
-# ----------------------------------------------------------------------
-# Worker-process kernels.  Top-level functions so they pickle under both
-# fork and spawn start methods; they mirror the serial per-chunk math
-# exactly (same chunk grid, same float32 partial sums).
-def _forward_block(args) -> np.ndarray:
-    lut_flat, levels, chunk, wq, xq = args
-    m, k = wq.shape
-    c = xq.shape[1]
-    wrow = (wq * levels).astype(np.intp)
-    out = np.empty((m, c), dtype=np.int64)
-    for c0 in range(0, c, chunk):
-        hi = min(c0 + chunk, c)
-        idx = wrow[:, :, None] + xq[None, :, c0:hi].astype(np.intp)
-        out[:, c0:hi] = np.take(lut_flat, idx, mode="clip").sum(
-            axis=1, dtype=np.int64
-        )
-    return out
-
-
-def _backward_block(args) -> tuple[list[np.ndarray], np.ndarray]:
-    grad_w_flat, grad_x_flat, levels, chunk, wq, xq, gout = args
-    m, k = wq.shape
-    c = xq.shape[1]
-    wrow = (wq * levels).astype(np.intp)
-    gw_chunks: list[np.ndarray] = []
-    gx = np.empty((k, c), dtype=np.float64)
-    for c0 in range(0, c, chunk):
-        hi = min(c0 + chunk, c)
-        idx = wrow[:, :, None] + xq[None, :, c0:hi].astype(np.intp)
-        g = gout[:, None, c0:hi]
-        buf = np.take(grad_w_flat, idx, mode="clip")
-        np.multiply(buf, g, out=buf)
-        gw_chunks.append(buf.sum(axis=2))
-        np.take(grad_x_flat, idx, out=buf, mode="clip")
-        np.multiply(buf, g, out=buf)
-        gx[:, c0:hi] = buf.sum(axis=0)
-    return gw_chunks, gx
-
-
-_pool = None
-_pool_workers = 0
-_pool_broken = False
-
-
-def _workers_requested() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
-
-
-def _run_parallel(fn, tasks) -> list | None:
-    """Map ``fn`` over ``tasks`` in the worker pool; None => use serial."""
-    global _pool, _pool_workers, _pool_broken
-    if _pool_broken:
-        return None
-    workers = _workers_requested()
-    try:
-        if _pool is None or _pool_workers != workers:
-            _shutdown_pool()
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            ctx = (
-                mp.get_context("fork")
-                if "fork" in mp.get_all_start_methods()
-                else None
-            )
-            _pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-            _pool_workers = workers
-        return list(_pool.map(fn, tasks))
-    except Exception:
-        # Any pool failure (sandboxed environments, dead workers, pickling
-        # issues) permanently reverts to the serial path.
-        _pool_broken = True
-        _shutdown_pool()
-        return None
-
-
-def _shutdown_pool() -> None:
-    global _pool, _pool_workers
-    if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
-        _pool = None
-        _pool_workers = 0
-
-
-atexit.register(_shutdown_pool)
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +460,6 @@ def engine_cache_stats() -> EngineCacheStats:
             "forward_calls": eng.forward_calls,
             "backward_calls": eng.backward_calls,
             "idx_reuses": eng.idx_reuses,
-            "parallel_calls": eng.parallel_calls,
             "ckernel_forward_calls": eng.ckernel_forward_calls,
             "ckernel_backward_calls": eng.ckernel_backward_calls,
         }
@@ -665,7 +485,6 @@ def format_engine_stats(stats: EngineCacheStats | None = None) -> str:
             f"  {e['multiplier']} [{e['method']}, chunk={e['chunk']}]: "
             f"{e['forward_calls']} fwd / {e['backward_calls']} bwd calls, "
             f"{e['idx_reuses']} idx reuse(s), "
-            f"{e['parallel_calls']} parallel call(s), "
             f"{e.get('ckernel_forward_calls', 0)} C fwd / "
             f"{e.get('ckernel_backward_calls', 0)} C bwd"
         )

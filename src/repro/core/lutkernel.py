@@ -1131,9 +1131,8 @@ def fused_backward_grads(
         _run_threaded(work, ranges)
     # Merge weight-gradient chunk partials in global chunk order: float64
     # accumulation of float32 chunk sums, exactly like the numpy path's
-    # per-chunk ``gw += buf.sum(axis=2)`` (and the multiprocessing
-    # path's ordered merge).  This is what keeps every thread count
-    # bit-identical to serial.
+    # per-chunk ``gw += buf.sum(axis=2)``.  This is what keeps every
+    # thread count bit-identical to serial.
     gw = np.zeros((m, k), dtype=np.float64)
     for ci in range(n_chunks):
         gw += gw_part[ci]

@@ -762,6 +762,13 @@ def stage_breakdown(doc: dict) -> dict:
     }
 
 
+def _percentile_cells(vals: np.ndarray) -> str:
+    """The p50/p95/p99 columns of one latency-report row (one sort)."""
+    return "".join(
+        f"{float(p):>10.3f}" for p in np.percentile(vals, (50, 95, 99))
+    )
+
+
 def latency_report(doc: dict) -> str:
     """Text table breaking request latency into pipeline stages."""
     info = stage_breakdown(doc)
@@ -789,18 +796,12 @@ def latency_report(doc: dict) -> str:
         attributed += mean
         share = 100.0 * mean / mean_total if mean_total > 0 else 0.0
         lines.append(
-            f"{name:<16}"
-            f"{float(np.percentile(vals, 50)):>10.3f}"
-            f"{float(np.percentile(vals, 95)):>10.3f}"
-            f"{float(np.percentile(vals, 99)):>10.3f}"
+            f"{name:<16}{_percentile_cells(vals)}"
             f"{mean:>10.3f}{share:>7.1f}%"
         )
     lines.append("-" * len(header))
     lines.append(
-        f"{'total':<16}"
-        f"{float(np.percentile(totals, 50)):>10.3f}"
-        f"{float(np.percentile(totals, 95)):>10.3f}"
-        f"{float(np.percentile(totals, 99)):>10.3f}"
+        f"{'total':<16}{_percentile_cells(totals)}"
         f"{mean_total:>10.3f}{100.0:>7.1f}%"
     )
     coverage = 100.0 * attributed / mean_total if mean_total > 0 else 0.0

@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+from repro import __version__
 
 from repro.cli import build_parser, main
 
@@ -85,3 +91,18 @@ def test_retrain_profile_flag(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "hotspots by self time" in out
+
+
+def test_python_dash_m_repro_version():
+    """``python -m repro`` runs the same CLI as ``python -m repro.cli``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert __version__ in proc.stdout

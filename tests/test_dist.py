@@ -334,7 +334,7 @@ def test_add_flow_events_skips_same_pid_batches():
     assert add_flow_events(doc) == 0
 
 
-def test_stage_breakdown_and_latency_report():
+def test_stage_breakdown_and_latency_report(monkeypatch):
     merged = merge_chrome_traces([_router_doc(), _worker_doc()])
     info = stage_breakdown(merged)
     assert info["n_requests"] == 1 and info["n_batches"] == 1
@@ -348,9 +348,20 @@ def test_stage_breakdown_and_latency_report():
     assert s["reply"] == [0.1]
     assert s["total"] == [0.9]
 
+    percentile_calls = []
+    percentile = np.percentile
+
+    def counting_percentile(*args, **kwargs):
+        percentile_calls.append(args)
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", counting_percentile)
     report = latency_report(merged)
     assert "queue_wait" in report and "requant" in report
     assert "n=1 requests" in report
+    # One percentile pass per row: five stages plus the total.
+    assert len(percentile_calls) == 6
+    assert f"{'total':<16}{0.9:>10.3f}{0.9:>10.3f}{0.9:>10.3f}" in report
     # Stages partition the total by construction: coverage ~100%.
     coverage = float(report.rsplit("stage coverage: ", 1)[1].split("%")[0])
     assert coverage >= 95.0

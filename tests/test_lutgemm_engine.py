@@ -1,13 +1,15 @@
-"""Tests for the shared LUT-GEMM engine (cache, fused backward, workers)."""
+"""Tests for the shared LUT-GEMM engine (cache, fused backward, backends)."""
 
 import copy
 
 import numpy as np
 import pytest
 
+from repro.core import execcore, lutkernel
 from repro.core.gradient import GradientPair, gradient_luts
 from repro.core.lutgemm import (
     DEFAULT_CHUNK,
+    FUSED_MIN_ELEMS,
     LutGemm,
     clear_engine_cache,
     engine_cache_stats,
@@ -211,41 +213,31 @@ def test_scratch_survives_alternating_shapes():
 
 
 # ----------------------------------------------------------------------
-# Multiprocessing path
-def test_workers_path_matches_serial(monkeypatch):
-    wq, xq, gout = _operands(4, 6, 64, MULT.bits, seed=6)
-    serial = LutGemm(MULT, PAIR, chunk=8)
-    acc_serial = serial.product_sums(wq, xq)
-    gw_serial, gx_serial = serial.backward_grads(wq, xq, gout, zw=2, zx=3)
-
+# One parallelism mechanism: large GEMMs always take the execution core
+@pytest.mark.skipif(
+    not lutkernel.kernel_available(),
+    reason="C kernel unavailable (no compiler or disabled)",
+)
+def test_stale_workers_env_still_runs_c_kernel(monkeypatch):
+    # A stale REPRO_LUTGEMM_WORKERS (the removed process pool's switch)
+    # must not divert large GEMMs off the C kernels: in-kernel
+    # REPRO_LUTKERNEL_THREADS threading is the only GEMM parallelism.
     monkeypatch.setenv("REPRO_LUTGEMM_WORKERS", "2")
-    par = LutGemm(MULT, PAIR, chunk=8)  # 8 chunks >= 2 workers * chunk
-    acc_par = par.product_sums(wq, xq)
-    gw_par, gx_par = par.backward_grads(wq, xq, gout, zw=2, zx=3)
-    assert np.array_equal(acc_serial, acc_par)
-    assert np.array_equal(gw_serial, gw_par)
-    assert np.array_equal(gx_serial, gx_par)
-    # Either the pool ran (parallel_calls > 0) or it broke and the serial
-    # fallback produced the answer; both are correct, but when the pool is
-    # healthy the parallel path must actually have been exercised.
-    from repro.core import lutgemm as mod
-
-    if not mod._pool_broken:
-        assert par.parallel_calls == 2
-
-
-def test_invalid_workers_env_falls_back_to_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_LUTGEMM_WORKERS", "not-a-number")
     engine = LutGemm(MULT, PAIR, chunk=8)
-    wq, xq, gout = _operands(3, 5, 32, MULT.bits, seed=7)
-    assert np.array_equal(
-        engine.product_sums(wq, xq), _reference_sums(engine, wq, xq)
+    m, k, c = 8, 72, 64  # C >= 2 * chunk
+    assert m * k * c >= FUSED_MIN_ELEMS
+    wq, xq, gout = _operands(m, k, c, MULT.bits, seed=6)
+    acc = engine.product_sums(wq, xq)
+    gw, gx = engine.backward_grads(wq, xq, gout, zw=2, zx=3)
+    assert engine.ckernel_forward_calls == 1
+    # The C backward runs wherever its self-check trusts it.
+    assert engine.ckernel_backward_calls == int(
+        execcore.backward_kernel_trusted()
     )
-    gw, gx = engine.backward_grads(wq, xq, gout, zw=1, zx=1)
-    gw_ref, gx_ref = _reference_grads(engine, wq, xq, gout, 1, 1)
+    assert np.array_equal(acc, _reference_sums(engine, wq, xq))
+    gw_ref, gx_ref = _reference_grads(engine, wq, xq, gout, 2, 3)
     assert np.array_equal(gw, gw_ref)
     assert np.array_equal(gx, gx_ref)
-    assert engine.parallel_calls == 0
 
 
 # ----------------------------------------------------------------------
