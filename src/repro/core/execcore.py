@@ -379,10 +379,12 @@ def _run_self_check() -> bool:
     recursive splits) plus a different, sequential order for the
     outer-axis reduction; the probe chunk sizes below (200, 64 over 450
     and 70 columns) drive the C kernel through all of them, single- and
-    multi-threaded.  The last probe additionally injects out-of-range
-    indices (diverged operands), which must clip into the tables the
-    way ``np.take(mode="clip")`` does.  Any discrepancy pins the
-    backward to numpy with a one-time warning.
+    multi-threaded.  The first three probes pass the in-bounds proof
+    and exercise the kernel's no-clamp loop; the last one injects
+    out-of-range indices (diverged operands), fails the proof, and
+    exercises the clamp loop, which must clip into the tables the way
+    ``np.take(mode="clip")`` does.  Any discrepancy pins the backward to
+    numpy with a one-time warning.
     """
     rng = np.random.default_rng(0x5EEDCAFE)
     levels = 4

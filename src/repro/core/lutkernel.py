@@ -33,6 +33,16 @@ JIT-compiles single-pass C kernels at first use:
   bit-identical to the numpy path (verified at runtime by
   :mod:`repro.core.execcore` before the kernel is trusted).
 
+All three kernel families share one gather fast path.  Every pointer is
+``restrict``-qualified, and each wrapper runs the same conservative
+in-bounds proof (:func:`_gather_in_bounds`: ``min(wrow) + min(xq) >= 0``
+and ``max(wrow) + max(xq) <`` the table size, against both gradient
+tables for the backward).  Proven operands take a loop that reads the
+table directly; anything else -- diverged operands (NaN weights
+quantizing to INT32_MIN) -- takes the exact per-element clamp loop,
+which clips like ``np.take(..., mode="clip")``.  Both loops perform the
+same arithmetic in the same order, so the choice never changes a bit.
+
 Optional threading: ``REPRO_LUTKERNEL_THREADS=N`` splits the forward
 over row blocks and the backward over chunk-aligned column blocks.
 ctypes releases the GIL for the duration of each call, partitions are
@@ -94,27 +104,57 @@ static inline long clamp_idx(int64_t id, long n)
 }
 
 /* ------------------------------------------------------------------
+ * The no-clamp fast path shared by all three kernel families (training
+ * forward, serving forward, difference-LUT backward).  ``fast`` (each
+ * kernel's last parameter) is a caller-proven in-bounds flag: the
+ * Python wrappers check min(wrow) + min(xq) >= 0 and
+ * max(wrow) + max(xq) < n (n = the table size; for the backward the
+ * smaller of the two gradient tables) with SIMD numpy reductions --
+ * one helper, _gather_in_bounds, for every kernel.  That holds for
+ * every healthy operand (wq in [0, levels), xq in [0, levels) or on
+ * the uint8 grid).  When set, the gather reads the table directly and
+ * skips clamp_idx, whose cmp/cmov chain sits on the address-generation
+ * critical path (~2.7x on conv-shaped serving gathers); data that fails
+ * the proof (a diverged run's NaN weights) takes the exact clamp loop,
+ * so results are bit-identical either way.  Every pointer is
+ * ``restrict``: without it the accumulator store may alias the next
+ * index load and the gather runs serialized (~1.7x on serving).
+ */
+
+/* ------------------------------------------------------------------
  * Forward: acc[m, c] = sum_k lut[wrow[m, k] + xq[k, c]] over rows
  * [m_lo, m_hi).  Integer arithmetic: bit-identical to numpy for any
  * row partition, which is what makes threading over row blocks safe.
  */
-void product_sums_range(const int32_t *lut, long n_lut,
-                        const int64_t *wrow,   /* (M, K): wq * levels */
-                        const int32_t *xq,     /* (K, C) quantized acts */
-                        int64_t *out,          /* (M, C), rows overwritten */
+void product_sums_range(const int32_t *restrict lut, long n_lut,
+                        /* (M, K): wq * levels */
+                        const int64_t *restrict wrow,
+                        /* (K, C) quantized acts */
+                        const int32_t *restrict xq,
+                        /* (M, C), rows overwritten */
+                        int64_t *restrict out,
                         long M, long K, long C,
-                        long m_lo, long m_hi)
+                        long m_lo, long m_hi, long fast)
 {
     for (long m = m_lo; m < m_hi; m++) {
         const int64_t *wr = wrow + m * K;
         int64_t *acc = out + m * C;
         for (long c = 0; c < C; c++)
             acc[c] = 0;
-        for (long k = 0; k < K; k++) {
-            const int64_t base = wr[k];
-            const int32_t *xrow = xq + k * C;
-            for (long c = 0; c < C; c++)
-                acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];
+        if (fast) {
+            for (long k = 0; k < K; k++) {
+                const int64_t base = wr[k];
+                const int32_t *xrow = xq + k * C;
+                for (long c = 0; c < C; c++)
+                    acc[c] += lut[base + xrow[c]];
+            }
+        } else {
+            for (long k = 0; k < K; k++) {
+                const int64_t base = wr[k];
+                const int32_t *xrow = xq + k * C;
+                for (long c = 0; c < C; c++)
+                    acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];
+            }
         }
     }
 }
@@ -123,23 +163,32 @@ void product_sums_range(const int32_t *lut, long n_lut,
  * traffic.  Callers must guarantee K * max|lut| < 2**31 (checked in
  * LutGemm.int32_acc_safe); within that bound results are bit-identical
  * to product_sums_range. */
-void product_sums_i32_range(const int32_t *lut, long n_lut,
-                            const int64_t *wrow,
-                            const int32_t *xq,
-                            int32_t *out,
+void product_sums_i32_range(const int32_t *restrict lut, long n_lut,
+                            const int64_t *restrict wrow,
+                            const int32_t *restrict xq,
+                            int32_t *restrict out,
                             long M, long K, long C,
-                            long m_lo, long m_hi)
+                            long m_lo, long m_hi, long fast)
 {
     for (long m = m_lo; m < m_hi; m++) {
         const int64_t *wr = wrow + m * K;
         int32_t *acc = out + m * C;
         for (long c = 0; c < C; c++)
             acc[c] = 0;
-        for (long k = 0; k < K; k++) {
-            const int64_t base = wr[k];
-            const int32_t *xrow = xq + k * C;
-            for (long c = 0; c < C; c++)
-                acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];
+        if (fast) {
+            for (long k = 0; k < K; k++) {
+                const int64_t base = wr[k];
+                const int32_t *xrow = xq + k * C;
+                for (long c = 0; c < C; c++)
+                    acc[c] += lut[base + xrow[c]];
+            }
+        } else {
+            for (long k = 0; k < K; k++) {
+                const int64_t base = wr[k];
+                const int32_t *xrow = xq + k * C;
+                for (long c = 0; c < C; c++)
+                    acc[c] += lut[clamp_idx(base + xrow[c], n_lut)];
+            }
         }
     }
 }
@@ -167,18 +216,12 @@ void product_sums_i32_range(const int32_t *lut, long n_lut,
  * over row blocks is bit-identical for every thread count.
  */
 
-/* ``fast`` (last parameter) is a caller-proven in-bounds flag: the
- * Python wrapper checks min(wrow) + min(xq) >= 0 and
- * max(wrow) + max(xq) < n_lut with SIMD numpy reductions (the wrow
- * bounds are input-independent and cached per plan op), which holds
- * for every real serving input (wq in [0, levels), xq clipped onto
- * the uint8 grid).  When set, the gather skips clamp_idx -- whose
- * cmp/cmov chain sits on the address-generation critical path and
- * costs ~2.7x on conv-shaped gathers -- and out-of-range data falls
- * back to the exact clamp loop, so results are bit-identical either
- * way.  C == 1 (linear single-sample) rows take a scalar reduction
- * with four independent accumulator chains instead: the column loop
- * has no parallelism to hide the gather latency, the chains do. */
+/* ``fast`` is the shared in-bounds flag described above (the wrow
+ * bounds are input-independent and cached per plan op, and plan ops
+ * feed uint8 data, so serving never pays the wrow reduction).  C == 1
+ * (linear single-sample) rows take a scalar reduction with four
+ * independent accumulator chains instead: the column loop has no
+ * parallelism to hide the gather latency, the chains do. */
 
 void fused_serve_range(const int32_t *restrict lut, long n_lut,
                        /* (M, K): wq * levels */
@@ -552,17 +595,22 @@ static float pairwise_sum_f32(const float *a, long n)
  * tmp (>= chunk floats) and gx32 (>= K * chunk floats) are per-thread
  * scratch supplied by the caller.
  */
-void backward_grads_range(const float *gwtab, long n_gw,
-                          const float *gxtab, long n_gx,
-                          const int64_t *wrow,   /* (M, K): wq * levels */
-                          const int32_t *xq,     /* (K, C) */
-                          const float *gout,     /* (M, C) */
-                          float *gw_part,        /* (n_chunks, M, K) */
-                          double *gx,            /* (K, C) */
-                          float *tmp,
-                          float *gx32,
+void backward_grads_range(const float *restrict gwtab, long n_gw,
+                          const float *restrict gxtab, long n_gx,
+                          /* (M, K): wq * levels */
+                          const int64_t *restrict wrow,
+                          /* (K, C) */
+                          const int32_t *restrict xq,
+                          /* (M, C) */
+                          const float *restrict gout,
+                          /* (n_chunks, M, K) */
+                          float *restrict gw_part,
+                          /* (K, C) */
+                          double *restrict gx,
+                          float *restrict tmp,
+                          float *restrict gx32,
                           long M, long K, long C, long chunk,
-                          long c_lo, long c_hi)
+                          long c_lo, long c_hi, long fast)
 {
     for (long c0 = c_lo; c0 < c_hi; c0 += chunk) {
         long hi = c0 + chunk < c_hi ? c0 + chunk : c_hi;
@@ -577,11 +625,22 @@ void backward_grads_range(const float *gwtab, long n_gw,
                 const int64_t base = wr[k];
                 const int32_t *xrow = xq + k * C + c0;
                 float *gxr = gx32 + k * cc;
-                for (long c = 0; c < cc; c++) {
-                    const int64_t id = base + xrow[c];
-                    const float gv = grow[c];
-                    tmp[c] = gwtab[clamp_idx(id, n_gw)] * gv;
-                    gxr[c] += gxtab[clamp_idx(id, n_gx)] * gv;
+                /* Same float32 operations in the same order on both
+                 * branches; only the index clamp differs. */
+                if (fast) {
+                    for (long c = 0; c < cc; c++) {
+                        const int64_t id = base + xrow[c];
+                        const float gv = grow[c];
+                        tmp[c] = gwtab[id] * gv;
+                        gxr[c] += gxtab[id] * gv;
+                    }
+                } else {
+                    for (long c = 0; c < cc; c++) {
+                        const int64_t id = base + xrow[c];
+                        const float gv = grow[c];
+                        tmp[c] = gwtab[clamp_idx(id, n_gw)] * gv;
+                        gxr[c] += gxtab[clamp_idx(id, n_gx)] * gv;
+                    }
                 }
                 gwp[m * K + k] = pairwise_sum_f32(tmp, cc);
             }
@@ -679,17 +738,19 @@ def _compile() -> "ctypes.CDLL | None":
     fn.restype = None
     fn.argtypes = [
         _i32, _long, _i64, _i32, _i64, _long, _long, _long, _long, _long,
+        _long,
     ]
     fn32 = lib.product_sums_i32_range
     fn32.restype = None
     fn32.argtypes = [
         _i32, _long, _i64, _i32, _i32, _long, _long, _long, _long, _long,
+        _long,
     ]
     bwd = lib.backward_grads_range
     bwd.restype = None
     bwd.argtypes = [
         _f32, _long, _f32, _long, _i64, _i32, _f32, _f32, _f64, _f32, _f32,
-        _long, _long, _long, _long, _long, _long,
+        _long, _long, _long, _long, _long, _long, _long,
     ]
     return lib
 
@@ -784,6 +845,34 @@ def _row_ranges(m: int, nthreads: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + per, m)) for lo in range(0, m, per)]
 
 
+def _gather_in_bounds(
+    wrow: np.ndarray,
+    xq: np.ndarray,
+    n: int,
+    wrow_bounds: tuple[int, int] | None = None,
+    xq_bounds: tuple[int, int] | None = None,
+) -> bool:
+    """Whether every index ``wrow[m, k] + xq[k, c]`` lies in ``[0, n)``.
+
+    The conservative in-bounds proof that lets a kernel take its
+    no-clamp gather loop: ``min(wrow) + min(xq) >= 0`` and
+    ``max(wrow) + max(xq) < n``, from array-wide extrema (SIMD numpy
+    reductions, ~1% of the gather they remove) or from the caller's
+    precomputed ``(min, max)`` bounds.  The sums are Python ints, so
+    huge diverged operands cannot overflow into a false proof.  Empty
+    operands (``K == 0``) prove nothing.
+    """
+    if wrow.size == 0 or xq.size == 0:
+        return False
+    wmin, wmax = wrow_bounds if wrow_bounds is not None else (
+        wrow.min(), wrow.max()
+    )
+    xmin, xmax = xq_bounds if xq_bounds is not None else (
+        xq.min(), xq.max()
+    )
+    return int(wmin) + int(xmin) >= 0 and int(wmax) + int(xmax) < n
+
+
 def fused_product_sums(
     lut_flat: np.ndarray,
     wrow: np.ndarray,
@@ -796,7 +885,8 @@ def fused_product_sums(
     Out-of-range indices clip into the table exactly like the numpy
     path's ``np.take(..., mode="clip")`` -- diverged operands (NaN
     weights quantizing to INT32_MIN) degrade identically on both
-    backends instead of faulting.
+    backends instead of faulting.  Operands that pass the in-bounds
+    proof (:func:`_gather_in_bounds`) take the kernel's no-clamp loop.
 
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
@@ -838,11 +928,12 @@ def fused_product_sums(
     lut_flat = np.ascontiguousarray(lut_flat, dtype=np.int32)
     wrow = np.ascontiguousarray(wrow, dtype=np.int64)
     xq = np.ascontiguousarray(xq, dtype=np.int32)
+    fast = int(_gather_in_bounds(wrow, xq, lut_flat.size))
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _row_ranges(m, nthreads)
 
     def work(lo, hi, _slot):
-        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, lo, hi)
+        fn(lut_flat, lut_flat.size, wrow, xq, out, m, k2, c, lo, hi, fast)
 
     _TRACE.count("lutkernel.fused_calls")
     if _TRACE.enabled:
@@ -900,7 +991,8 @@ def fused_serve(
     self-check).  ``qlo`` folds the integer ReLU: ``max(q, Z)`` over a
     ``[qmin, qmax]`` clip equals a single ``[max(qmin, Z), qmax]`` clip.
     Out-of-range gather indices clip into the table like
-    ``np.take(mode="clip")``.
+    ``np.take(mode="clip")``; operands that pass the shared in-bounds
+    proof (:func:`_gather_in_bounds`) take the no-clamp loop.
 
     Args:
         lut_flat: Flat int32 product LUT of size ``levels**2``.
@@ -955,18 +1047,9 @@ def fused_serve(
     shift, sh_stride = _const_row(shift, m, "shift")
     if not (rq_stride == d0_stride == sh_stride):
         raise ValueError("fused_serve: m0/d0/shift layout mismatch")
-    # In-bounds proof for the no-clamp gather: conservative array-wide
-    # extrema (SIMD reductions; ~1% of the gather they remove).
-    if k2 > 0:
-        wmin, wmax = wrow_bounds if wrow_bounds is not None else (
-            int(wrow.min()), int(wrow.max())
-        )
-        xmin, xmax = xq_bounds if xq_bounds is not None else (
-            int(xq.min()), int(xq.max())
-        )
-        fast = int(wmin + xmin >= 0 and wmax + xmax < lut_flat.size)
-    else:
-        fast = 0
+    fast = int(_gather_in_bounds(
+        wrow, xq, lut_flat.size, wrow_bounds, xq_bounds
+    ))
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _row_ranges(m, nthreads)
     # Per-thread accumulator row: the tile that never leaves cache.
@@ -1084,7 +1167,10 @@ def fused_backward_grads(
     are merged into the float64 result in global chunk order, so the
     output is bit-identical to the numpy fallback for every
     ``threads`` value.  Out-of-range indices clip into each gradient
-    table exactly like ``np.take(..., mode="clip")``.
+    table exactly like ``np.take(..., mode="clip")``; operands proven
+    in bounds of both tables (:func:`_gather_in_bounds`) take the
+    no-clamp loop, which performs the same float32 operations in the
+    same order.
 
     Returns ``(gw, gx)`` as float64 ``(M, K)`` / ``(K, C)`` arrays, or
     ``None`` when the kernel is unavailable.
@@ -1110,6 +1196,9 @@ def fused_backward_grads(
     gout = np.ascontiguousarray(gout, dtype=np.float32)
     gw_part = np.empty((n_chunks, m, k), dtype=np.float32)
     gx = np.empty((k2, c), dtype=np.float64)
+    fast = int(_gather_in_bounds(
+        wrow, xq, min(grad_w_flat.size, grad_x_flat.size)
+    ))
     nthreads = threads_requested() if threads is None else max(int(threads), 1)
     ranges = _chunk_ranges(c, chunk, nthreads)
     # Per-thread scratch: the chunk product row and the float32 gx tile.
@@ -1120,7 +1209,7 @@ def fused_backward_grads(
         lib.backward_grads_range(
             grad_w_flat, grad_w_flat.size, grad_x_flat, grad_x_flat.size,
             wrow, xq, gout, gw_part, gx, tmp[slot], gx32[slot],
-            m, k2, c, chunk, lo, hi,
+            m, k2, c, chunk, lo, hi, fast,
         )
 
     _TRACE.count("lutkernel.fused_backward_calls")

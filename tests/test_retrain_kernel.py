@@ -253,6 +253,75 @@ def test_raw_kernel_oob_clip_both_directions():
         assert np.array_equal(got_b[1], want_b[1])
 
 
+def test_gather_in_bounds_truth_table():
+    # The one in-bounds proof behind every kernel's no-clamp loop:
+    # wrow + xq must land in [0, n) for every (m, k, c).
+    n = 16
+    wrow = np.array([[0, 12]], dtype=np.int64)
+    proof = lutkernel._gather_in_bounds
+    # Max index exactly n - 1 (12 + 3) and min exactly 0: safe.
+    assert proof(wrow, np.array([[0], [3]], dtype=np.int32), n)
+    # Max index exactly n (12 + 4): not safe.
+    assert not proof(wrow, np.array([[0], [4]], dtype=np.int32), n)
+    # A negative minimum, from either operand: not safe.
+    assert not proof(wrow, np.array([[-1], [3]], dtype=np.int32), n)
+    assert not proof(wrow - 1, np.array([[0], [1]], dtype=np.int32), n)
+    # K == 0: nothing to prove, not safe.
+    assert not proof(
+        np.empty((3, 0), np.int64), np.empty((0, 5), np.int32), n
+    )
+    # Huge diverged operands: not safe, and no int64 wrap-around.
+    xq = np.array([[1], [2]], dtype=np.int32)
+    assert not proof(np.array([[-(2**50), 0]], dtype=np.int64), xq, n)
+    assert not proof(np.array([[0, 2**50]], dtype=np.int64), xq, n)
+    big = (np.int64(2**62), np.int64(2**62))
+    assert not proof(wrow, xq, n, wrow_bounds=big, xq_bounds=big)
+    low = (np.int64(-(2**62)), np.int64(0))
+    assert not proof(wrow, xq, n, wrow_bounds=low, xq_bounds=low)
+    # Precomputed bounds replace the array reductions.
+    assert proof(wrow, xq, n, wrow_bounds=(0, 12), xq_bounds=(0, 3))
+    assert not proof(wrow, xq, n, wrow_bounds=(0, 12), xq_bounds=(0, 4))
+
+
+@requires_kernel
+@pytest.mark.parametrize("threads", [1, 4, 7])
+def test_proof_boundary_indices_bit_identical(threads):
+    # Operands reaching flat indices exactly 0 and levels**2 - 1 pass
+    # the in-bounds proof, so every kernel runs its no-clamp loop right
+    # at the table edges; results must still equal the numpy backend.
+    levels = 1 << MULT.bits
+    m, k, c = ODD_SHAPES[1]
+    wq, xq, gout = _operands(m, k, c, seed=31)
+    wq[0, 0], xq[0, 0] = 0, 0
+    wq[-1, -1], xq[-1, -1] = levels - 1, levels - 1
+    wrow = (wq * levels).astype(np.int64)
+    idx = wrow[:, :, None] + xq[None]
+    assert idx.min() == 0 and idx.max() == levels**2 - 1
+    eng = LutGemm(MULT, PAIR)
+    assert lutkernel._gather_in_bounds(wrow, xq, eng._lut_i32.size)
+    assert lutkernel._gather_in_bounds(
+        wrow, xq, min(eng.grad_w_flat.size, eng.grad_x_flat.size)
+    )
+    for acc_dtype in (np.int64, np.int32):
+        acc_ref, _, _ = _numpy_results(
+            wq, xq, gout, zw=0, zx=0, acc_dtype=acc_dtype
+        )
+        got = lutkernel.fused_product_sums(
+            eng._lut_i32, wrow, xq, acc_dtype, threads
+        )
+        assert got.dtype == np.dtype(acc_dtype)
+        assert np.array_equal(got, acc_ref)
+    chunk = 96
+    want = execcore._probe_reference(
+        eng.grad_w_flat, eng.grad_x_flat, wrow, xq, gout, chunk
+    )
+    got_b = lutkernel.fused_backward_grads(
+        eng.grad_w_flat, eng.grad_x_flat, wrow, xq, gout, chunk, threads
+    )
+    assert np.array_equal(got_b[0], want[0])
+    assert np.array_equal(got_b[1], want[1])
+
+
 def test_threads_env_parsing(monkeypatch):
     monkeypatch.delenv(lutkernel.THREADS_ENV, raising=False)
     assert lutkernel.threads_requested() == 1
